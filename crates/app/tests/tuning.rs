@@ -141,3 +141,21 @@ fn auto_settles_on_the_plain_family_without_escalation() {
     // stagnation guard rather than adopted
     assert!(winner != "cg_f32");
 }
+
+/// A session-cached `auto` solver prepares once, before its race, and
+/// must not keep the race's per-trial iteration cap afterwards: every
+/// later step solved by the adopted winner runs under the deck's full
+/// budget and converges.
+#[test]
+fn session_reused_winner_solves_every_step_to_convergence() {
+    let deck = auto_deck(64, 0, 1e-8);
+    let out = tea_app::run_serial_session(&deck, &tea_core::SetupCache::new()).expect("runs");
+    assert_eq!(out.steps.len(), 2);
+    for s in &out.steps {
+        assert!(
+            s.converged,
+            "step {} unconverged after {} iterations",
+            s.step, s.iterations
+        );
+    }
+}

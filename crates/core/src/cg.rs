@@ -12,11 +12,17 @@
 //! Two allreduce latencies per iteration — the strong-scaling bottleneck
 //! the CPPCG solver exists to amortise.
 //!
+//! This module owns the crate's one PCG outer loop. `cg`, `mixed_cg`,
+//! `ppcg` and `mixed_ppcg` differ only in the `z = M⁻¹ r` step they hand
+//! it, and the CG presteps of every eigenvalue-driven solver run it
+//! under an iteration cap before the Lanczos estimate.
+//!
 //! Convergence is declared when `√(r·z) <= eps * √(r₀·z₀)` (the
 //! reference's criterion; for `M = I` this is the plain relative residual
 //! norm).
 
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
+use crate::eigen::{estimate_from_cg, EigenEstimate};
 use crate::precon::{PreconKind, Preconditioner};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveStatus, SolveTrace};
@@ -137,56 +143,83 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
     opts: SolveOpts,
     stop_after: u64,
 ) -> (SolveResult, CgCoefficients) {
-    let mut trace = SolveTrace::new(format!("CG/{}", precon_label(precon)));
+    let start = PcgStart::Fresh(SolveTrace::new(format!("CG/{}", precon_label(precon))));
+    let bounds = &tile.op.bounds;
+    pcg(tile, u, b, ws, opts, start, stop_after, |ws, trace| {
+        precon.apply(&ws.r, &mut ws.z, bounds, 0, trace)
+    })
+}
+
+/// How a [`pcg`] run begins.
+pub(crate) enum PcgStart {
+    /// A fresh solve, recorded into this (empty, labelled) trace.
+    Fresh(SolveTrace),
+    /// The continuation of an eigenvalue prelude: its trace, iteration
+    /// count and initial residual carry over, so the convergence target
+    /// stays relative to the residual the prelude started from.
+    Resume(SolveResult),
+}
+
+/// The preconditioned CG outer loop every PCG-family solver runs.
+///
+/// `precondition` computes `ws.z = M⁻¹ ws.r`, and is the only thing
+/// that differs between the callers: the `f64` preconditioner (`cg` and
+/// the CG presteps), its `f32` demote/apply/promote round trip
+/// (`mixed_cg`), or the `m`-step Chebyshev inner solve at either
+/// precision (`ppcg`, `mixed_ppcg`). The recurrence, both reductions and
+/// the convergence test always stay in `f64`. A non-finite reduction or
+/// a lost `<p, Ap>` positivity ends the solve as
+/// [`SolveStatus::Diverged`] with a NaN `final_residual`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pcg<C: Communicator + ?Sized>(
+    tile: &Tile<'_, C>,
+    u: &mut Field2D,
+    b: &Field2D,
+    ws: &mut Workspace,
+    opts: SolveOpts,
+    start: PcgStart,
+    stop_after: u64,
+    mut precondition: impl FnMut(&mut Workspace, &mut SolveTrace),
+) -> (SolveResult, CgCoefficients) {
     let bounds = &tile.op.bounds;
     let mut coeffs = CgCoefficients::default();
+    let (mut trace, resumed) = match start {
+        PcgStart::Fresh(trace) => (trace, None),
+        PcgStart::Resume(pre) => (
+            pre.trace,
+            Some((pre.iterations, pre.initial_residual, pre.final_residual)),
+        ),
+    };
 
     // r = b - A u (u needs one fresh ghost layer for the stencil)
     tile.exchange(&mut [u], 1, &mut trace);
     tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
 
     // z = M^{-1} r ; p = z
-    precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
+    precondition(ws, &mut trace);
     vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
 
     let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
     let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    if !rro.is_finite() {
-        // non-finite input: report divergence instead of letting the
-        // NaN-swallowing max(0.0) below read as instant convergence
-        return (
-            SolveResult {
-                converged: false,
-                iterations: 0,
-                initial_residual: f64::NAN,
-                final_residual: f64::NAN,
-                status: SolveStatus::Diverged { iteration: 0 },
-                trace,
-            },
-            coeffs,
-        );
-    }
-    let initial_residual = rro.max(0.0).sqrt();
-
+    let (mut iterations, initial_residual, mut final_residual) = match resumed {
+        Some(state) => state,
+        None if !rro.is_finite() => {
+            // non-finite input: report divergence instead of letting the
+            // NaN-swallowing max(0.0) below read as instant convergence
+            let status = SolveStatus::Diverged { iteration: 0 };
+            return (ended(status, 0, f64::NAN, f64::NAN, trace), coeffs);
+        }
+        None => {
+            let r0 = rro.max(0.0).sqrt();
+            (0, r0, r0)
+        }
+    };
     if initial_residual == 0.0 {
-        return (
-            SolveResult {
-                converged: true,
-                iterations: 0,
-                initial_residual,
-                final_residual: 0.0,
-                status: SolveStatus::Converged,
-                trace,
-            },
-            coeffs,
-        );
+        let status = SolveStatus::Converged;
+        return (ended(status, iterations, 0.0, 0.0, trace), coeffs);
     }
     let target = opts.eps * initial_residual;
-
-    let mut converged = false;
     let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = initial_residual;
-    let mut iterations = 0;
     let cap = opts.max_iters.min(stop_after);
 
     while iterations < cap {
@@ -209,6 +242,7 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
             status = SolveStatus::Diverged {
                 iteration: iterations,
             };
+            final_residual = f64::NAN;
             break;
         }
         let alpha = rro / pw;
@@ -217,7 +251,7 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
         vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
         vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
 
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
+        precondition(ws, &mut trace);
         let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
         let rrn = tile.reduce_sum(rz_local, &mut trace);
         if !rrn.is_finite() {
@@ -226,12 +260,12 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
             status = SolveStatus::Diverged {
                 iteration: iterations,
             };
+            final_residual = f64::NAN;
             break;
         }
 
         final_residual = rrn.max(0.0).sqrt();
         if final_residual <= target {
-            converged = true;
             status = SolveStatus::Converged;
             break;
         }
@@ -241,18 +275,73 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
         vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
         rro = rrn;
     }
-
     (
-        SolveResult {
-            converged,
-            iterations,
-            initial_residual,
-            final_residual,
-            status,
-            trace,
-        },
+        ended(status, iterations, initial_residual, final_residual, trace),
         coeffs,
     )
+}
+
+/// The prelude every eigenvalue-driven solver runs (`chebyshev`,
+/// `richardson`, `ppcg` and their mixed-precision variants): `presteps`
+/// plain-CG iterations that advance `u` and record the Lanczos
+/// coefficients, then the spectrum of `M⁻¹A` — the pinned `hint` when a
+/// session replays identical input (which skips only the Lanczos
+/// analysis; the presteps still advance `u`), else the Lanczos estimate
+/// widened by `eigen_safety`.
+///
+/// See [`Prelude`] for the two outcomes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
+    tile: &Tile<'_, C>,
+    u: &mut Field2D,
+    b: &Field2D,
+    precon: &Preconditioner,
+    ws: &mut Workspace,
+    opts: SolveOpts,
+    presteps: u64,
+    eigen_safety: f64,
+    hint: Option<EigenEstimate>,
+    label: &str,
+) -> Prelude {
+    let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
+    if pre.status != SolveStatus::IterationLimit {
+        return Prelude::Done(pre);
+    }
+    let est = hint.unwrap_or_else(|| {
+        let (al, be) = coeffs.for_lanczos();
+        estimate_from_cg(al, be, eigen_safety)
+    });
+    pre.trace.solver = label.to_string();
+    pre.trace.eigen_bounds = Some((est.min, est.max));
+    Prelude::Continue(pre, est)
+}
+
+/// How an [`eigen_prelude`] ended.
+pub(crate) enum Prelude {
+    /// The presteps already ended the solve: converged, diverged or
+    /// cancelled.
+    Done(SolveResult),
+    /// The prestep result, relabelled and with its eigen bounds set,
+    /// ready for the solver's own phase, and the spectrum estimate.
+    Continue(SolveResult, EigenEstimate),
+}
+
+/// Packs a finished solve; `converged` follows from `status`.
+pub(crate) fn ended(
+    status: SolveStatus,
+    iterations: u64,
+    initial_residual: f64,
+    final_residual: f64,
+    trace: SolveTrace,
+) -> SolveResult {
+    SolveResult {
+        converged: status == SolveStatus::Converged,
+        iterations,
+        initial_residual,
+        final_residual,
+        status,
+        trace,
+    }
 }
 
 fn precon_label(p: &Preconditioner) -> &'static str {

@@ -173,6 +173,7 @@ pub(crate) fn cg_fused_solve_impl<C: Communicator + ?Sized>(
             status = SolveStatus::Diverged {
                 iteration: iterations,
             };
+            final_residual = f64::NAN;
             break;
         }
 
@@ -189,6 +190,7 @@ pub(crate) fn cg_fused_solve_impl<C: Communicator + ?Sized>(
             status = SolveStatus::Diverged {
                 iteration: iterations,
             };
+            final_residual = f64::NAN;
             break;
         }
         vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);

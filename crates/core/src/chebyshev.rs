@@ -18,8 +18,8 @@
 //! bounds come from a short plain-CG prelude (paper §III.D).
 
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::cg::{eigen_prelude, Prelude};
+use crate::eigen::EigenEstimate;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveStatus, SolveTrace};
@@ -221,20 +221,25 @@ pub(crate) fn chebyshev_solve_impl<C: Communicator + ?Sized>(
 ) -> SolveResult {
     let bounds = &tile.op.bounds;
 
-    // Phase 1: CG presteps, keeping the partial solution and coefficients.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, cheby.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre; // the prelude finished, diverged, or was cancelled
-    }
+    // Phase 1: CG presteps for the spectrum of M⁻¹A, keeping the
+    // partial solution.
+    let prelude = eigen_prelude(
+        tile,
+        u,
+        b,
+        precon,
+        ws,
+        opts,
+        cheby.presteps,
+        cheby.eigen_safety,
+        hint,
+        "Chebyshev",
+    );
+    let (pre, est) = match prelude {
+        Prelude::Continue(pre, est) => (pre, est),
+        Prelude::Done(done) => return done,
+    };
     let mut trace = pre.trace;
-    trace.solver = "Chebyshev".into();
-    // a pinned estimate (from a session replaying identical input) skips
-    // only the Lanczos analysis — the presteps above still advanced u
-    let est = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, cheby.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
     let consts = ChebyConstants::from_estimate(est);
 
     // Phase 2: Chebyshev acceleration from the CG-advanced iterate.

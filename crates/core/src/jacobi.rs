@@ -135,6 +135,7 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
             status = SolveStatus::Diverged {
                 iteration: iterations,
             };
+            final_residual = f64::NAN;
             break;
         }
         final_residual = rr.max(0.0).sqrt();

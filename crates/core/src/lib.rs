@@ -78,7 +78,7 @@ pub use eigen::{
     tridiag_extreme_eigenvalues, EigenError, EigenEstimate,
 };
 pub use jacobi::Jacobi;
-pub use mixed::{solver_for_precision, CgF32, MixedCg, MixedChebyshev, MixedPpcg, MixedRichardson};
+pub use mixed::{solver_for_precision, CgF32, InnerAccel, MixedCg, MixedPpcg, MixedRefinement};
 pub use ops::{TileBounds, TileOperator};
 pub use ops3d::{cg_solve_3d, jacobi_solve_3d, TileOperator3D};
 pub use ppcg::{Ppcg, PpcgOpts};

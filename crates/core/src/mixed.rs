@@ -3,25 +3,30 @@
 //!
 //! TeaLeaf's kernels are memory-bandwidth bound, so halving the bytes
 //! per value is the single biggest per-node lever on modern hardware.
-//! This module instantiates the generic [`Scalar`] kernels at `f32` in
-//! three registered methods:
+//! The mixed solvers here are not separate algorithms: they run the same
+//! loops as their `f64` families, with the bandwidth-dominant work moved
+//! onto an `F32Side` — the demoted operator, the preconditioner
+//! assembled from it and the `f32` working fields.
 //!
-//! * [`MixedCg`] (`"mixed_cg"`) — classic iterative-refinement-flavoured
-//!   PCG: the outer recurrence, every dot product and the convergence
-//!   test stay in `f64`, while the preconditioner is assembled from the
-//!   demoted (`f32`) operator and applied to demoted residuals. The
+//! * [`MixedCg`] (`"mixed_cg"`) — the one PCG loop of [`crate::cg`] with
+//!   `z = M⁻¹r` taken through the `f32` round trip: demote `r`, apply
+//!   the `f32` preconditioner, promote `z`. The recurrence, every dot
+//!   product and the convergence test stay in `f64`; the
 //!   preconditioner only has to be *some* fixed SPD operator for CG to
 //!   converge, so the solve still reaches full `f64` tolerances.
-//! * [`MixedPpcg`] (`"mixed_ppcg"`) — CPPCG whose entire inner
-//!   `m`-step Chebyshev smoothing (the dominant flop/byte cost) runs in
-//!   `f32`, including the matrix-powers deep-halo schedule; the outer
-//!   PCG recurrence stays in `f64`. The inner solve is a polynomial
-//!   preconditioner, so the same argument applies.
+//! * [`MixedPpcg`] (`"mixed_ppcg"`) — CPPCG through the same
+//!   [`crate::ppcg`] solve as `"ppcg"`, with the inner `m`-step
+//!   Chebyshev body (the dominant flop/byte cost, matrix-powers schedule
+//!   included) instantiated at `f32`.
+//! * [`MixedRefinement`] (`"mixed_chebyshev"`, `"mixed_richardson"`) —
+//!   the shared `f64` CG prelude, then iterative refinement: each outer
+//!   iteration runs one `f32` block of the [`InnerAccel`] smoother
+//!   against the demoted residual and re-derives the residual in `f64`.
 //! * [`CgF32`] (`"cg_f32"`) — every kernel in `f32`, for the honest
 //!   end of the precision sweep: it demonstrates *why* mixed precision
 //!   exists, stalling at the `f32` round-off floor instead of reaching
-//!   `f64` tolerances (a stagnation guard stops it burning iterations
-//!   once it flatlines).
+//!   `f64` tolerances. Its residual replacement and stagnation guard are
+//!   a different stopping rule, so it keeps a loop of its own.
 //!
 //! Halo exchanges are **precision-native**: the `tea-comms` wire format
 //! is generic over the field scalar, so every `f32` field here
@@ -31,11 +36,10 @@
 //! the deck/CLI/builder onto the registered variant.
 
 use crate::api::{IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
-use crate::cg::cg_solve_recording;
-use crate::chebyshev::ChebyConstants;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
-use crate::ops::{TileBounds, TileOperator};
-use crate::ppcg::PpcgOpts;
+use crate::cg::{eigen_prelude, ended, pcg, PcgStart, Prelude};
+use crate::eigen::EigenEstimate;
+use crate::ops::TileOperator;
+use crate::ppcg::{cheb_inner, ppcg_solve_impl, InnerCheb, PpcgOpts};
 use crate::precon::{PreconKind, Preconditioner};
 use crate::registry::SolverRegistry;
 use crate::solver::{SolveOpts, Tile, Workspace};
@@ -108,61 +112,126 @@ pub fn solver_for_precision(
     }
 }
 
-/// Reusable `f32` demotion scratch for the preconditioner round trip.
-#[derive(Debug, Clone)]
-struct DemoteScratch {
-    r32: Field2F,
-    z32: Field2F,
+/// The `f32` side of a mixed- or single-precision solver: the demoted
+/// operator, the preconditioner assembled from it, and `f32` working
+/// fields shaped like the `f64` workspace. Re-assembly per time step
+/// keeps the fields, so they are allocated once per run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct F32Side {
+    demoted: Option<(TileOperator<f32>, Preconditioner<f32>)>,
+    fields: Vec<Field2F>,
 }
 
-impl DemoteScratch {
-    fn matching(f: &Field2D) -> Self {
-        let make = || Field2F::new(f.nx(), f.ny(), f.halo());
-        DemoteScratch {
-            r32: make(),
-            z32: make(),
+impl F32Side {
+    /// Demotes `op` and assembles a `kind` preconditioner from it, valid
+    /// up to matrix-powers extension `ext_max`.
+    fn assemble(&mut self, kind: PreconKind, op: &TileOperator, ext_max: usize) {
+        let op32: TileOperator<f32> = op.convert();
+        let precon32 = Preconditioner::setup(kind, &op32, ext_max);
+        self.demoted = Some((op32, precon32));
+    }
+
+    fn is_assembled(&self) -> bool {
+        self.demoted.is_some()
+    }
+
+    /// The demoted operator and preconditioner, plus `N` working fields
+    /// shaped like `like` (reallocated only when the shape changes).
+    fn parts<const N: usize>(
+        &mut self,
+        like: &Field2D,
+    ) -> (&TileOperator<f32>, &Preconditioner<f32>, &mut [Field2F; N]) {
+        let fits =
+            |g: &Field2F| g.nx() == like.nx() && g.ny() == like.ny() && g.halo() == like.halo();
+        if self.fields.len() != N || !self.fields.iter().all(fits) {
+            self.fields = (0..N)
+                .map(|_| Field2F::new(like.nx(), like.ny(), like.halo()))
+                .collect();
         }
+        let (op, precon) = self.demoted.as_ref().expect("assembled before use");
+        let fields = (&mut self.fields[..]).try_into().expect("sized above");
+        (op, precon, fields)
     }
 
-    fn fits(&self, f: &Field2D) -> bool {
-        self.r32.nx() == f.nx() && self.r32.ny() == f.ny() && self.r32.halo() == f.halo()
+    /// `z = M₃₂⁻¹ r` through the `f32` round trip: demote `r`, apply the
+    /// single-precision preconditioner, promote the result. The two
+    /// conversion sweeps are recorded as vector ops so traces stay honest
+    /// about the extra memory traffic.
+    fn precondition(&mut self, r: &Field2D, z: &mut Field2D, trace: &mut SolveTrace) {
+        let (op, precon, [r32, z32]) = self.parts(r);
+        trace.vector_ops.record(0);
+        r.convert_into(r32);
+        precon.apply(r32, z32, &op.bounds, 0, trace);
+        trace.vector_ops.record(0);
+        z32.convert_into(z);
     }
-}
 
-/// `z = M₃₂⁻¹ r` through the `f32` round trip: demote `r`, apply the
-/// single-precision preconditioner, promote the result. The two
-/// conversion sweeps are recorded as vector ops so traces stay honest
-/// about the extra memory traffic.
-fn apply_precon_demoted(
-    precon32: &Preconditioner<f32>,
-    r: &Field2D,
-    z: &mut Field2D,
-    s: &mut DemoteScratch,
-    bounds: &TileBounds,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(0);
-    r.convert_into(&mut s.r32);
-    precon32.apply(&s.r32, &mut s.z32, bounds, 0, trace);
-    trace.vector_ops.record(0);
-    s.z32.convert_into(z);
+    /// The inner Chebyshev solve of `A z ≈ r` in `f32`: the outer
+    /// residual is demoted in and the correction promoted out, both
+    /// recorded as vector ops.
+    pub(crate) fn cheb_inner<C: Communicator + ?Sized>(
+        &mut self,
+        tile: &Tile<'_, C>,
+        inner: &InnerCheb,
+        ws: &mut Workspace,
+        trace: &mut SolveTrace,
+    ) {
+        let (op, precon, [z, rr, sd, tmp]) = self.parts(&ws.r);
+        trace.vector_ops.record(0);
+        ws.r.convert_into(rr);
+        cheb_inner(tile, op, precon, inner, [z, rr, sd, tmp], trace);
+        trace.vector_ops.record(0);
+        z.convert_into(&mut ws.z);
+    }
+
+    /// The inner `m`-step damped Richardson solve of `A z ≈ r` from
+    /// `z = 0` in `f32`: `z += ω M⁻¹ r̃`, with the inner residual `r̃`
+    /// maintained incrementally (`r̃ −= A·(ω M⁻¹ r̃)`) on the depth-1
+    /// schedule.
+    fn richardson_inner<C: Communicator + ?Sized>(
+        &mut self,
+        tile: &Tile<'_, C>,
+        omega: f64,
+        m: usize,
+        ws: &mut Workspace,
+        trace: &mut SolveTrace,
+    ) {
+        let (op, precon, [z, rr, sd, w, tmp]) = self.parts(&ws.r);
+        let bounds = &op.bounds;
+        vector::zero(z, bounds, 1, trace);
+        trace.vector_ops.record(0);
+        ws.r.convert_into(rr);
+        let omega32 = f32::from_f64(omega);
+
+        for _ in 0..m {
+            precon.apply(rr, tmp, bounds, 0, trace);
+            vector::scaled_copy(sd, tmp, omega32, bounds, 0, trace);
+            tile.exchange(&mut [&mut *sd], 1, trace);
+            op.apply(sd, w, 0, trace);
+            vector::axpy(z, 1.0f32, sd, bounds, 0, trace);
+            vector::axpy(rr, -1.0f32, w, bounds, 0, trace);
+        }
+        trace.inner_iterations += m as u64;
+
+        trace.vector_ops.record(0);
+        z.convert_into(&mut ws.z);
+    }
 }
 
 /// PCG with an `f32` preconditioner inside an `f64` outer recurrence —
 /// the `"mixed_cg"` registry entry.
 ///
-/// Per iteration the demote/apply/promote round trip replaces the `f64`
-/// preconditioner apply; everything else (halo exchange, fused
-/// `w = A·p` sweep, dot products, vector updates, convergence test) is
-/// bit-for-bit the plain [`crate::Cg`] protocol. Because CG tolerates
-/// any fixed SPD preconditioner, the method converges to the same
-/// `tl_eps` tolerance as full `f64` CG.
+/// The demote/apply/promote round trip is the `z = M⁻¹r` step of the
+/// one PCG loop; everything else (halo exchange, fused `w = A·p` sweep,
+/// dot products, vector updates, convergence test) is bit-for-bit the
+/// plain [`crate::Cg`] protocol. Because CG tolerates any fixed SPD
+/// preconditioner, the method converges to the same `tl_eps` tolerance
+/// as full `f64` CG.
 #[derive(Debug, Clone, Default)]
 pub struct MixedCg {
     kind: PreconKind,
     opts: SolveOpts,
-    precon32: Option<Preconditioner<f32>>,
-    scratch: Option<DemoteScratch>,
+    side: F32Side,
 }
 
 impl MixedCg {
@@ -171,20 +240,13 @@ impl MixedCg {
     pub fn new(kind: PreconKind) -> Self {
         MixedCg {
             kind,
-            opts: SolveOpts::default(),
-            precon32: None,
-            scratch: None,
+            ..Default::default()
         }
     }
 
     /// Registry factory: consumes [`SolverParams::precon`].
     pub fn from_params(params: &SolverParams) -> Self {
         MixedCg::new(params.precon)
-    }
-
-    fn assemble_precon(&self, ctx: &SolveContext<'_>) -> Preconditioner<f32> {
-        let op32: TileOperator<f32> = ctx.tile.op.convert();
-        Preconditioner::setup(self.kind, &op32, 0)
     }
 }
 
@@ -199,7 +261,7 @@ impl IterativeSolver for MixedCg {
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.precon32 = Some(self.assemble_precon(ctx));
+        self.side.assemble(self.kind, ctx.tile.op, 0);
     }
 
     fn solve(
@@ -210,157 +272,16 @@ impl IterativeSolver for MixedCg {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        if self.precon32.is_none() {
-            self.precon32 = Some(self.assemble_precon(ctx));
+        if !self.side.is_assembled() {
+            self.side.assemble(self.kind, ctx.tile.op, 0);
         }
-        if !self.scratch.as_ref().is_some_and(|s| s.fits(&ws.r)) {
-            self.scratch = Some(DemoteScratch::matching(&ws.r));
-        }
-        let precon32 = self.precon32.as_ref().expect("just prepared");
-        let scratch = self.scratch.as_mut().expect("just sized");
-        let result = mixed_cg_solve(ctx.tile, u, b, precon32, scratch, ws, self.opts);
+        let start = PcgStart::Fresh(SolveTrace::new(self.label()));
+        let side = &mut self.side;
+        let (result, _) = pcg(ctx.tile, u, b, ws, self.opts, start, u64::MAX, |ws, t| {
+            side.precondition(&ws.r, &mut ws.z, t)
+        });
         trace.merge(&result.trace);
         result
-    }
-}
-
-fn mixed_cg_solve<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon32: &Preconditioner<f32>,
-    scratch: &mut DemoteScratch,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-) -> SolveResult {
-    let mut trace = SolveTrace::new("CG-mixed");
-    let bounds = &tile.op.bounds;
-
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    apply_precon_demoted(precon32, &ws.r, &mut ws.z, scratch, bounds, &mut trace);
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    if !rro.is_finite() {
-        return SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::Diverged { iteration: 0 },
-            trace,
-        };
-    }
-    let initial_residual = rro.max(0.0).sqrt();
-
-    if initial_residual == 0.0 {
-        return SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            trace,
-        };
-    }
-    let target = opts.eps * initial_residual;
-
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = initial_residual;
-    let mut iterations = 0;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        if !pw.is_finite() || pw <= 0.0 {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        let alpha = rro / pw;
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        apply_precon_demoted(precon32, &ws.r, &mut ws.z, scratch, bounds, &mut trace);
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-
-        if !rrn.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        final_residual = rrn.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-        if rrn <= 0.0 {
-            // f32 rounding floor: <r, z> lost positivity before the
-            // target — stop honestly instead of dividing by it
-            break;
-        }
-
-        let beta = rrn / rro;
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        rro = rrn;
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
-    }
-}
-
-/// The `f32` working set of the mixed PPCG inner smoothing.
-#[derive(Debug, Clone)]
-struct InnerWs32 {
-    z: Field2F,
-    rr: Field2F,
-    sd: Field2F,
-    w: Field2F,
-    tmp: Field2F,
-}
-
-impl InnerWs32 {
-    fn matching(f: &Field2D) -> Self {
-        let make = || Field2F::new(f.nx(), f.ny(), f.halo());
-        InnerWs32 {
-            z: make(),
-            rr: make(),
-            sd: make(),
-            w: make(),
-            tmp: make(),
-        }
-    }
-
-    fn fits(&self, f: &Field2D) -> bool {
-        self.z.nx() == f.nx() && self.z.ny() == f.ny() && self.z.halo() == f.halo()
     }
 }
 
@@ -382,9 +303,7 @@ pub struct MixedPpcg {
     ppcg: PpcgOpts,
     opts: SolveOpts,
     precon: Option<Preconditioner>,
-    op32: Option<TileOperator<f32>>,
-    precon32: Option<Preconditioner<f32>>,
-    inner32: Option<InnerWs32>,
+    side: F32Side,
     hint: Option<EigenEstimate>,
     last_est: Option<EigenEstimate>,
 }
@@ -396,43 +315,20 @@ impl MixedPpcg {
         MixedPpcg {
             kind,
             ppcg,
-            opts: SolveOpts::default(),
-            precon: None,
-            op32: None,
-            precon32: None,
-            inner32: None,
-            hint: None,
-            last_est: None,
+            ..Default::default()
         }
     }
 
     /// Registry factory: consumes `precon`, `inner_steps`, `halo_depth`,
     /// `presteps` and `eigen_safety`.
     pub fn from_params(params: &SolverParams) -> Self {
-        MixedPpcg::new(
-            params.precon,
-            PpcgOpts {
-                inner_steps: params.inner_steps,
-                halo_depth: params.halo_depth,
-                presteps: params.presteps,
-                eigen_safety: params.eigen_safety,
-            },
-        )
+        MixedPpcg::new(params.precon, PpcgOpts::from_params(params))
     }
 
     fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        let op32: TileOperator<f32> = ctx.tile.op.convert();
-        self.precon = Some(Preconditioner::setup(
-            self.kind,
-            ctx.tile.op,
-            self.ppcg.halo_depth,
-        ));
-        self.precon32 = Some(Preconditioner::setup(
-            self.kind,
-            &op32,
-            self.ppcg.halo_depth,
-        ));
-        self.op32 = Some(op32);
+        let depth = self.ppcg.halo_depth;
+        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, depth));
+        self.side.assemble(self.kind, ctx.tile.op, depth);
     }
 }
 
@@ -442,7 +338,7 @@ impl IterativeSolver for MixedPpcg {
     }
 
     fn label(&self) -> String {
-        format!("PPCG-{}-mixed", self.ppcg.halo_depth)
+        format!("{}-mixed", self.ppcg.label())
     }
 
     fn halo_depth(&self) -> usize {
@@ -462,26 +358,19 @@ impl IterativeSolver for MixedPpcg {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        if self.op32.is_none() {
+        if self.precon.is_none() {
             self.assemble(ctx);
         }
-        if !self.inner32.as_ref().is_some_and(|s| s.fits(&ws.r)) {
-            self.inner32 = Some(InnerWs32::matching(&ws.r));
-        }
-        let label = self.label();
-        let result = mixed_ppcg_solve(
+        let result = ppcg_solve_impl(
             ctx.tile,
             u,
             b,
             self.precon.as_ref().expect("just prepared"),
-            self.op32.as_ref().expect("just prepared"),
-            self.precon32.as_ref().expect("just prepared"),
-            self.inner32.as_mut().expect("just sized"),
             ws,
             self.opts,
             self.ppcg,
-            &label,
             self.hint,
+            Some(&mut self.side),
         );
         self.last_est = result
             .trace
@@ -500,607 +389,218 @@ impl IterativeSolver for MixedPpcg {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn mixed_ppcg_solve<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    op32: &TileOperator<f32>,
-    precon32: &Preconditioner<f32>,
-    inner32: &mut InnerWs32,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-    ppcg: PpcgOpts,
-    label: &str,
-    hint: Option<EigenEstimate>,
-) -> SolveResult {
-    let h = ppcg.halo_depth;
-    let m = ppcg.inner_steps;
-    assert!(h >= 1, "matrix-powers depth must be at least 1");
-    assert!(m >= 1, "need at least one inner step");
-    assert!(
-        ws.halo() >= h,
-        "workspace halo {} shallower than matrix-powers depth {h}",
-        ws.halo()
-    );
-    assert!(
-        precon.supports_extension() || h == 1,
-        "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
-    );
-    let bounds = &tile.op.bounds;
-
-    // Phase 1: f64 plain-CG presteps for the spectrum of M⁻¹A.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, ppcg.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
-    }
-    let mut trace = pre.trace;
-    trace.solver = label.to_string();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est: EigenEstimate = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, ppcg.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let consts = ChebyConstants::from_estimate(est);
-    let cheb = consts.coefficients(m);
-
-    // Phase 2: f64 outer PCG with the f32 m-step Chebyshev inner solve.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    cheb_inner_f32(
-        tile, op32, precon32, ws, inner32, &consts, &cheb, h, &mut trace,
-    );
-    trace.inner_iterations += m as u64;
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
-    let mut iterations = pre.iterations;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        if !pw.is_finite() || pw <= 0.0 {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        let alpha = rro / pw;
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        cheb_inner_f32(
-            tile, op32, precon32, ws, inner32, &consts, &cheb, h, &mut trace,
-        );
-        trace.inner_iterations += m as u64;
-
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-        if !rrn.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        final_residual = rrn.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-        if rrn <= 0.0 {
-            break;
-        }
-        let beta = rrn / rro;
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        rro = rrn;
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
-    }
-}
-
-/// The inner m-step Chebyshev solve of `A z ≈ r` from `z = 0`, entirely
-/// in `f32`, with the matrix-powers deep-halo schedule. Mirrors
-/// `ppcg::cheb_inner` step for step; halo exchanges move native `f32`
-/// payloads, so the only extra traffic is the demote of the outer
-/// residual on entry and the promote of `z` on exit (both recorded as
-/// vector ops).
-#[allow(clippy::too_many_arguments)]
-fn cheb_inner_f32<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    op32: &TileOperator<f32>,
-    precon32: &Preconditioner<f32>,
-    ws: &mut Workspace,
-    f: &mut InnerWs32,
-    consts: &ChebyConstants,
-    cheb: &[(f64, f64)],
-    h: usize,
-    trace: &mut SolveTrace,
-) {
-    let bounds = &op32.bounds;
-    let m = cheb.len();
-    vector::zero(&mut f.z, bounds, h, trace);
-    trace.vector_ops.record(0);
-    ws.r.convert_into(&mut f.rr);
-    let inv_theta = f32::from_f64(1.0 / consts.theta);
-
-    if h == 1 {
-        // Classic depth-1 schedule: interior-only updates, one exchange
-        // per inner step, block-Jacobi allowed. Fused like
-        // `ppcg::cheb_inner`: stencil + z/rr updates in one pass, then
-        // the preconditioned sd recurrence (unfused only for
-        // block-Jacobi strip solves).
-        precon32.apply(&f.rr, &mut f.tmp, bounds, 0, trace);
-        vector::scaled_copy(&mut f.sd, &f.tmp, inv_theta, bounds, 0, trace);
-        for &(a_k, b_k) in cheb {
-            tile.exchange(&mut [&mut f.sd], 1, trace);
-            op32.apply_cheb_fused(&f.sd, &mut f.z, &mut f.rr, 0, trace);
-            let (a32, b32) = (f32::from_f64(a_k), f32::from_f64(b_k));
-            if !precon32.fused_recurrence(&mut f.sd, &f.rr, a32, b32, bounds, 0, trace) {
-                precon32.apply(&f.rr, &mut f.tmp, bounds, 0, trace);
-                vector::scale_add(&mut f.sd, a32, b32, &f.tmp, bounds, 0, trace);
-            }
-        }
-    } else {
-        // Matrix-powers schedule: one depth-h exchange buys h sweeps
-        // over shrinking bounds (paper Fig. 2), each depth level fused
-        // (block-Jacobi never reaches this branch).
-        tile.exchange(&mut [&mut f.rr], h, trace);
-        let mut avail = h;
-        precon32.apply(&f.rr, &mut f.tmp, bounds, avail, trace);
-        vector::scaled_copy(&mut f.sd, &f.tmp, inv_theta, bounds, avail, trace);
-
-        for (step, &(a_k, b_k)) in cheb.iter().enumerate() {
-            if avail == 0 {
-                tile.exchange(&mut [&mut f.sd, &mut f.rr], h, trace);
-                avail = h;
-            }
-            // never sweep wider than the remaining steps can use
-            let e = (avail - 1).min(m - 1 - step);
-            op32.apply_cheb_fused(&f.sd, &mut f.z, &mut f.rr, e, trace);
-            let (a32, b32) = (f32::from_f64(a_k), f32::from_f64(b_k));
-            if !precon32.fused_recurrence(&mut f.sd, &f.rr, a32, b32, bounds, e, trace) {
-                precon32.apply(&f.rr, &mut f.tmp, bounds, e, trace);
-                vector::scale_add(&mut f.sd, a32, b32, &f.tmp, bounds, e, trace);
-            }
-            avail = e;
-        }
-    }
-
-    trace.vector_ops.record(0);
-    f.z.convert_into(&mut ws.z);
-}
-
-/// The inner m-step damped Richardson solve of `A z ≈ r` from `z = 0`,
-/// entirely in `f32`: `z += ω M⁻¹ r̃` with the inner residual `r̃`
-/// maintained incrementally (`r̃ −= A·(ω M⁻¹ r̃)`), mirroring the
-/// depth-1 schedule of [`cheb_inner_f32`] with the Chebyshev recurrence
-/// replaced by the fixed Chebyshev-optimal damping.
-#[allow(clippy::too_many_arguments)]
-fn rich_inner_f32<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    op32: &TileOperator<f32>,
-    precon32: &Preconditioner<f32>,
-    ws: &mut Workspace,
-    f: &mut InnerWs32,
-    omega: f64,
-    m: usize,
-    trace: &mut SolveTrace,
-) {
-    let bounds = &op32.bounds;
-    vector::zero(&mut f.z, bounds, 1, trace);
-    trace.vector_ops.record(0);
-    ws.r.convert_into(&mut f.rr);
-    let omega32 = f32::from_f64(omega);
-
-    for _ in 0..m {
-        precon32.apply(&f.rr, &mut f.tmp, bounds, 0, trace);
-        vector::scaled_copy(&mut f.sd, &f.tmp, omega32, bounds, 0, trace);
-        tile.exchange(&mut [&mut f.sd], 1, trace);
-        op32.apply(&f.sd, &mut f.w, 0, trace);
-        vector::axpy(&mut f.z, 1.0f32, &f.sd, bounds, 0, trace);
-        vector::axpy(&mut f.rr, -1.0f32, &f.w, bounds, 0, trace);
-    }
-
-    trace.vector_ops.record(0);
-    f.z.convert_into(&mut ws.z);
-}
-
-/// Which `f32` acceleration runs inside the shared mixed refinement
-/// outer loop of [`mixed_accel_solve`].
-#[derive(Debug, Clone, Copy)]
-enum InnerAccel {
+/// Which `f32` smoother runs inside the [`MixedRefinement`] outer loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum InnerAccel {
+    /// Chebyshev acceleration (`"mixed_chebyshev"`): the CPPCG inner
+    /// body at depth 1.
+    #[default]
     Chebyshev,
+    /// Damped Richardson sweeps `z += ω M⁻¹ r̃` at the Chebyshev-optimal
+    /// `ω = 2/(λmin+λmax)` (`"mixed_richardson"`).
     Richardson,
 }
 
-/// The shared engine behind [`MixedChebyshev`] and [`MixedRichardson`]:
-/// a `f64` CG-Lanczos prelude for the spectrum, then iterative
-/// refinement — each outer iteration runs `m` steps of the `f32`
-/// acceleration against the demoted `f64` residual, promotes the
-/// correction, and re-derives the residual in `f64`. The outer update
-/// and the convergence test never leave `f64`, so the solve reaches
-/// `f64` tolerances (same argument as [`MixedPpcg`]).
-#[allow(clippy::too_many_arguments)]
-fn mixed_accel_solve<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    op32: &TileOperator<f32>,
-    precon32: &Preconditioner<f32>,
-    inner32: &mut InnerWs32,
-    ws: &mut Workspace,
-    opts: SolveOpts,
+/// Iterative refinement around an `f32` smoother — the
+/// `"mixed_chebyshev"` and `"mixed_richardson"` registry entries.
+///
+/// The `f64` CG prelude estimates the spectrum. Each outer iteration
+/// then demotes the current `f64` residual, runs `check_interval` steps
+/// of the [`InnerAccel`] smoother of `A z ≈ r` in `f32`, promotes the
+/// correction and re-derives the residual in `f64`. The outer update
+/// and the convergence control never leave `f64`, so the method reaches
+/// `f64` tolerances while the bandwidth-dominant sweeps move half the
+/// bytes.
+#[derive(Debug, Clone, Default)]
+pub struct MixedRefinement {
+    accel: InnerAccel,
+    kind: PreconKind,
     presteps: u64,
     eigen_safety: f64,
-    m: usize,
-    accel: InnerAccel,
-    label: &str,
+    inner_steps: usize,
+    opts: SolveOpts,
+    precon: Option<Preconditioner>,
+    side: F32Side,
     hint: Option<EigenEstimate>,
-) -> SolveResult {
-    let bounds = &tile.op.bounds;
+    last_est: Option<EigenEstimate>,
+}
 
-    // Phase 1: f64 plain-CG presteps for the spectrum of M⁻¹A.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
+impl MixedRefinement {
+    /// A mixed-precision refinement solver running `accel` with
+    /// preconditioner `kind`, `presteps` CG presteps and `inner_steps`
+    /// f32 sweeps per `f64` residual refresh.
+    pub fn new(
+        accel: InnerAccel,
+        kind: PreconKind,
+        presteps: u64,
+        eigen_safety: f64,
+        inner_steps: usize,
+    ) -> Self {
+        MixedRefinement {
+            accel,
+            kind,
+            presteps,
+            eigen_safety,
+            inner_steps: inner_steps.max(1),
+            ..Default::default()
+        }
     }
-    let mut trace = pre.trace;
-    trace.solver = label.to_string();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est: EigenEstimate = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let consts = ChebyConstants::from_estimate(est);
-    let cheb = consts.coefficients(m);
-    let omega = 2.0 / (est.min + est.max);
 
-    // Phase 2: f64 refinement loop around the f32 acceleration blocks.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
+    /// Registry factory: consumes `precon`, `presteps`, `eigen_safety`
+    /// and `check_interval` (as the f32 block length).
+    pub fn from_params(accel: InnerAccel, params: &SolverParams) -> Self {
+        MixedRefinement::new(
+            accel,
+            params.precon,
+            params.presteps,
+            params.eigen_safety,
+            params.check_interval.max(1) as usize,
+        )
+    }
 
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-    let mut iterations = pre.iterations;
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
+    fn assemble(&mut self, ctx: &SolveContext<'_>) {
+        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
+        self.side.assemble(self.kind, ctx.tile.op, 0);
+    }
+}
 
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
+impl IterativeSolver for MixedRefinement {
+    fn name(&self) -> &'static str {
+        match self.accel {
+            InnerAccel::Chebyshev => "mixed_chebyshev",
+            InnerAccel::Richardson => "mixed_richardson",
         }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
+    }
 
-        match accel {
-            InnerAccel::Chebyshev => cheb_inner_f32(
-                tile, op32, precon32, ws, inner32, &consts, &cheb, 1, &mut trace,
-            ),
-            InnerAccel::Richardson => {
-                rich_inner_f32(tile, op32, precon32, ws, inner32, omega, m, &mut trace)
-            }
+    fn label(&self) -> String {
+        match self.accel {
+            InnerAccel::Chebyshev => "Chebyshev-mixed".into(),
+            InnerAccel::Richardson => "Richardson-mixed".into(),
         }
-        trace.inner_iterations += m as u64;
+    }
 
-        vector::axpy(u, 1.0, &ws.z, bounds, 0, &mut trace);
+    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
+        self.opts = *opts;
+        self.assemble(ctx);
+    }
+
+    fn solve(
+        &mut self,
+        ctx: &SolveContext<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+        trace: &mut SolveTrace,
+    ) -> SolveResult {
+        if self.precon.is_none() {
+            self.assemble(ctx);
+        }
+        let result = self.refine(ctx.tile, u, b, ws);
+        self.last_est = result
+            .trace
+            .eigen_bounds
+            .map(|(min, max)| EigenEstimate { min, max });
+        trace.merge(&result.trace);
+        result
+    }
+
+    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
+        self.hint = hint;
+    }
+
+    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
+        self.last_est
+    }
+}
+
+impl MixedRefinement {
+    /// The prelude, then the `f64` refinement loop around the `f32`
+    /// smoother blocks: one reduction per block.
+    fn refine<C: Communicator + ?Sized>(
+        &mut self,
+        tile: &Tile<'_, C>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+    ) -> SolveResult {
+        let bounds = &tile.op.bounds;
+        let opts = self.opts;
+        let precon = self.precon.as_ref().expect("assembled before use");
+        let label = self.label();
+        let prelude = eigen_prelude(
+            tile,
+            u,
+            b,
+            precon,
+            ws,
+            opts,
+            self.presteps,
+            self.eigen_safety,
+            self.hint,
+            &label,
+        );
+        let (pre, est) = match prelude {
+            Prelude::Continue(pre, est) => (pre, est),
+            Prelude::Done(done) => return done,
+        };
+        let mut trace = pre.trace;
+        let m = self.inner_steps;
+        let inner = InnerCheb::new(est, m, 1);
+        let omega = 2.0 / (est.min + est.max);
+
         tile.exchange(&mut [u], 1, &mut trace);
         tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
 
-        // one reduction per m-step block: the f64 convergence control
-        let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-        let rr = tile.reduce_sum(rr_local, &mut trace);
-        if !rr.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
+        let target = opts.eps * pre.initial_residual;
+        let mut iterations = pre.iterations;
+        let mut status = SolveStatus::IterationLimit;
+        let mut final_residual = pre.final_residual;
+
+        while iterations < opts.max_iters {
+            if tile.controls.should_stop() {
+                status = SolveStatus::Cancelled {
+                    iteration: iterations,
+                };
+                break;
+            }
+            iterations += 1;
+            trace.outer_iterations += 1;
+            tile.controls.poke(iterations, u, &mut ws.r);
+
+            match self.accel {
+                InnerAccel::Chebyshev => self.side.cheb_inner(tile, &inner, ws, &mut trace),
+                InnerAccel::Richardson => {
+                    self.side.richardson_inner(tile, omega, m, ws, &mut trace)
+                }
+            }
+
+            vector::axpy(u, 1.0, &ws.z, bounds, 0, &mut trace);
+            tile.exchange(&mut [u], 1, &mut trace);
+            tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
+
+            // one reduction per m-step block: the f64 convergence control
+            let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
+            let rr = tile.reduce_sum(rr_local, &mut trace);
+            if !rr.is_finite() {
+                status = SolveStatus::Diverged {
+                    iteration: iterations,
+                };
+                final_residual = f64::NAN;
+                break;
+            }
+            final_residual = rr.max(0.0).sqrt();
+            if final_residual <= target {
+                status = SolveStatus::Converged;
+                break;
+            }
         }
-        final_residual = rr.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
-    }
-}
-
-/// Chebyshev acceleration with every polynomial sweep in `f32` — the
-/// `"mixed_chebyshev"` registry entry.
-///
-/// Each outer iteration demotes the current `f64` residual, runs
-/// `check_interval` Chebyshev steps of `A z ≈ r` in `f32` (the same
-/// inner engine as [`MixedPpcg`], at depth 1), promotes the correction
-/// and re-derives the residual in `f64`. The CG presteps, the Lanczos
-/// eigenvalue estimate and the convergence control all stay in `f64`,
-/// so the method reaches `f64` tolerances while the bandwidth-dominant
-/// sweeps move half the bytes.
-#[derive(Debug, Clone, Default)]
-pub struct MixedChebyshev {
-    kind: PreconKind,
-    presteps: u64,
-    eigen_safety: f64,
-    inner_steps: usize,
-    opts: SolveOpts,
-    precon: Option<Preconditioner>,
-    op32: Option<TileOperator<f32>>,
-    precon32: Option<Preconditioner<f32>>,
-    inner32: Option<InnerWs32>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
-}
-
-impl MixedChebyshev {
-    /// A mixed-precision Chebyshev solver with preconditioner `kind`,
-    /// `presteps` CG presteps and `inner_steps` f32 sweeps per `f64`
-    /// residual refresh.
-    pub fn new(kind: PreconKind, presteps: u64, eigen_safety: f64, inner_steps: usize) -> Self {
-        MixedChebyshev {
-            kind,
-            presteps,
-            eigen_safety,
-            inner_steps: inner_steps.max(1),
-            opts: SolveOpts::default(),
-            precon: None,
-            op32: None,
-            precon32: None,
-            inner32: None,
-            hint: None,
-            last_est: None,
-        }
-    }
-
-    /// Registry factory: consumes `precon`, `presteps`, `eigen_safety`
-    /// and `check_interval` (as the f32 block length).
-    pub fn from_params(params: &SolverParams) -> Self {
-        MixedChebyshev::new(
-            params.precon,
-            params.presteps,
-            params.eigen_safety,
-            params.check_interval.max(1) as usize,
+        ended(
+            status,
+            iterations,
+            pre.initial_residual,
+            final_residual,
+            trace,
         )
-    }
-
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        let op32: TileOperator<f32> = ctx.tile.op.convert();
-        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
-        self.precon32 = Some(Preconditioner::setup(self.kind, &op32, 0));
-        self.op32 = Some(op32);
-    }
-}
-
-impl IterativeSolver for MixedChebyshev {
-    fn name(&self) -> &'static str {
-        "mixed_chebyshev"
-    }
-
-    fn label(&self) -> String {
-        "Chebyshev-mixed".into()
-    }
-
-    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.opts = *opts;
-        self.assemble(ctx);
-    }
-
-    fn solve(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-        trace: &mut SolveTrace,
-    ) -> SolveResult {
-        if self.op32.is_none() {
-            self.assemble(ctx);
-        }
-        if !self.inner32.as_ref().is_some_and(|s| s.fits(&ws.r)) {
-            self.inner32 = Some(InnerWs32::matching(&ws.r));
-        }
-        let result = mixed_accel_solve(
-            ctx.tile,
-            u,
-            b,
-            self.precon.as_ref().expect("just prepared"),
-            self.op32.as_ref().expect("just prepared"),
-            self.precon32.as_ref().expect("just prepared"),
-            self.inner32.as_mut().expect("just sized"),
-            ws,
-            self.opts,
-            self.presteps,
-            self.eigen_safety,
-            self.inner_steps,
-            InnerAccel::Chebyshev,
-            "Chebyshev-mixed",
-            self.hint,
-        );
-        self.last_est = result
-            .trace
-            .eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max });
-        trace.merge(&result.trace);
-        result
-    }
-
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.last_est
-    }
-}
-
-/// Damped Richardson iteration with every sweep in `f32` — the
-/// `"mixed_richardson"` registry entry.
-///
-/// The outer structure matches [`MixedChebyshev`]: `check_interval`
-/// damped sweeps (`z += ω M⁻¹ r̃`, Chebyshev-optimal
-/// `ω = 2/(λmin+λmax)`) run in `f32` against the demoted residual, the
-/// promoted correction and the convergence test stay in `f64`.
-#[derive(Debug, Clone, Default)]
-pub struct MixedRichardson {
-    kind: PreconKind,
-    presteps: u64,
-    eigen_safety: f64,
-    inner_steps: usize,
-    opts: SolveOpts,
-    precon: Option<Preconditioner>,
-    op32: Option<TileOperator<f32>>,
-    precon32: Option<Preconditioner<f32>>,
-    inner32: Option<InnerWs32>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
-}
-
-impl MixedRichardson {
-    /// A mixed-precision Richardson solver with preconditioner `kind`,
-    /// `presteps` CG presteps and `inner_steps` f32 sweeps per `f64`
-    /// residual refresh.
-    pub fn new(kind: PreconKind, presteps: u64, eigen_safety: f64, inner_steps: usize) -> Self {
-        MixedRichardson {
-            kind,
-            presteps,
-            eigen_safety,
-            inner_steps: inner_steps.max(1),
-            opts: SolveOpts::default(),
-            precon: None,
-            op32: None,
-            precon32: None,
-            inner32: None,
-            hint: None,
-            last_est: None,
-        }
-    }
-
-    /// Registry factory: consumes `precon`, `presteps`, `eigen_safety`
-    /// and `check_interval` (as the f32 block length).
-    pub fn from_params(params: &SolverParams) -> Self {
-        MixedRichardson::new(
-            params.precon,
-            params.presteps,
-            params.eigen_safety,
-            params.check_interval.max(1) as usize,
-        )
-    }
-
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        let op32: TileOperator<f32> = ctx.tile.op.convert();
-        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
-        self.precon32 = Some(Preconditioner::setup(self.kind, &op32, 0));
-        self.op32 = Some(op32);
-    }
-}
-
-impl IterativeSolver for MixedRichardson {
-    fn name(&self) -> &'static str {
-        "mixed_richardson"
-    }
-
-    fn label(&self) -> String {
-        "Richardson-mixed".into()
-    }
-
-    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.opts = *opts;
-        self.assemble(ctx);
-    }
-
-    fn solve(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-        trace: &mut SolveTrace,
-    ) -> SolveResult {
-        if self.op32.is_none() {
-            self.assemble(ctx);
-        }
-        if !self.inner32.as_ref().is_some_and(|s| s.fits(&ws.r)) {
-            self.inner32 = Some(InnerWs32::matching(&ws.r));
-        }
-        let result = mixed_accel_solve(
-            ctx.tile,
-            u,
-            b,
-            self.precon.as_ref().expect("just prepared"),
-            self.op32.as_ref().expect("just prepared"),
-            self.precon32.as_ref().expect("just prepared"),
-            self.inner32.as_mut().expect("just sized"),
-            ws,
-            self.opts,
-            self.presteps,
-            self.eigen_safety,
-            self.inner_steps,
-            InnerAccel::Richardson,
-            "Richardson-mixed",
-            self.hint,
-        );
-        self.last_est = result
-            .trace
-            .eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max });
-        trace.merge(&result.trace);
-        result
-    }
-
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.last_est
     }
 }
 
@@ -1131,8 +631,7 @@ struct FieldsF32 {
 pub struct CgF32 {
     kind: PreconKind,
     opts: SolveOpts,
-    op32: Option<TileOperator<f32>>,
-    precon32: Option<Preconditioner<f32>>,
+    side: F32Side,
     fields: Option<FieldsF32>,
 }
 
@@ -1146,8 +645,7 @@ impl CgF32 {
         CgF32 {
             kind,
             opts: SolveOpts::default(),
-            op32: None,
-            precon32: None,
+            side: F32Side::default(),
             fields: None,
         }
     }
@@ -1155,12 +653,6 @@ impl CgF32 {
     /// Registry factory: consumes [`SolverParams::precon`].
     pub fn from_params(params: &SolverParams) -> Self {
         CgF32::new(params.precon)
-    }
-
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        let op32: TileOperator<f32> = ctx.tile.op.convert();
-        self.precon32 = Some(Preconditioner::setup(self.kind, &op32, 0));
-        self.op32 = Some(op32);
     }
 }
 
@@ -1175,7 +667,7 @@ impl IterativeSolver for CgF32 {
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.assemble(ctx);
+        self.side.assemble(self.kind, ctx.tile.op, 0);
     }
 
     fn solve(
@@ -1186,8 +678,8 @@ impl IterativeSolver for CgF32 {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        if self.op32.is_none() {
-            self.assemble(ctx);
+        if !self.side.is_assembled() {
+            self.side.assemble(self.kind, ctx.tile.op, 0);
         }
         let fits =
             |g: &Field2F, f: &Field2D| g.nx() == f.nx() && g.ny() == f.ny() && g.halo() == f.halo();
@@ -1206,12 +698,13 @@ impl IterativeSolver for CgF32 {
                 z: like(&ws.z),
             });
         }
+        let (op32, precon32) = self.side.demoted.as_ref().expect("just prepared");
         let result = cg_f32_solve(
             ctx.tile,
             u,
             b,
-            self.op32.as_ref().expect("just prepared"),
-            self.precon32.as_ref().expect("just prepared"),
+            op32,
+            precon32,
             self.fields.as_mut().expect("just sized"),
             self.opts,
         );
@@ -1398,9 +891,6 @@ fn cg_f32_solve<C: Communicator + ?Sized>(
 mod tests {
     use super::*;
     use crate::builder::{crooked_pipe_system, Solve};
-    use crate::cg::cg_solve_recording;
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::Decomposition2D;
 
     fn run_named(
         name: &str,
@@ -1553,38 +1043,8 @@ mod tests {
         // mixed CG must record strictly more vector ops than f64 CG
         // (two conversion sweeps per preconditioner application) while
         // keeping the same reduction and exchange protocol
-        let n = 16;
-        let (op, b) = crooked_pipe_system(n, 0.04, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m64 = Preconditioner::setup(PreconKind::Diagonal, &op, 0);
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u = b.clone();
-        let (r64, _) = cg_solve_recording(
-            &tile,
-            &mut u,
-            &b,
-            &m64,
-            &mut ws,
-            SolveOpts::default(),
-            u64::MAX,
-        );
-
-        let op32: TileOperator<f32> = op.convert();
-        let m32 = Preconditioner::setup(PreconKind::Diagonal, &op32, 0);
-        let mut scratch = DemoteScratch::matching(&ws.r);
-        let mut u2 = b.clone();
-        let rmx = mixed_cg_solve(
-            &tile,
-            &mut u2,
-            &b,
-            &m32,
-            &mut scratch,
-            &mut ws,
-            SolveOpts::default(),
-        );
+        let (r64, ..) = run_named("cg", 16, 1e-10, PreconKind::Diagonal, 1);
+        let (rmx, ..) = run_named("mixed_cg", 16, 1e-10, PreconKind::Diagonal, 1);
         assert!(r64.converged && rmx.converged);
         let per_iter_64 = r64.trace.vector_ops.total() as f64 / r64.iterations as f64;
         let per_iter_mx = rmx.trace.vector_ops.total() as f64 / rmx.iterations as f64;

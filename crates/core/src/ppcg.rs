@@ -1,13 +1,20 @@
 //! CPPCG — the Chebyshev Polynomially Preconditioned Conjugate Gradient
 //! solver with the matrix-powers kernel (paper §III–IV).
 //!
-//! The outer loop is standard PCG, but the preconditioner application
-//! `z = M⁻¹r` is an `m`-step Chebyshev smoothing of `A z = r` from
-//! `z₀ = 0` (paper §III.B–C). Each outer iteration therefore costs `m+1`
-//! stencil sweeps but only the **two** outer dot products — the global
-//! reduction count per sweep drops by a factor of ~`m` versus plain CG,
-//! which is the communication-avoidance the paper quantifies with
-//! Eqs. 6–7.
+//! CPPCG is plain PCG whose `z = M⁻¹r` step happens to be an `m`-step
+//! Chebyshev smoothing of `A z = r` from `z₀ = 0` (paper §III.B–C), and
+//! the code says exactly that: after the shared CG + Lanczos prelude,
+//! the solve runs the one PCG outer loop of [`crate::cg`] with
+//! `cheb_inner` as its preconditioner step. Each outer iteration
+//! therefore costs `m+1` stencil sweeps but only the **two** outer dot
+//! products — the global reduction count per sweep drops by a factor of
+//! ~`m` versus plain CG, which is the communication-avoidance the paper
+//! quantifies with Eqs. 6–7.
+//!
+//! The inner body is generic over the storage scalar: `"ppcg"` runs it
+//! in `f64` on the workspace, `"mixed_ppcg"` ([`crate::MixedPpcg`])
+//! runs the same body in `f32` on the demoted operator, with the outer
+//! residual demoted in and the correction promoted out.
 //!
 //! Halo traffic inside the inner smoothing is governed by the
 //! **matrix-powers kernel** (paper §IV.C.2, Figs. 1–2): with halo depth
@@ -23,15 +30,17 @@
 //! here at configuration time).
 
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
+use crate::cg::{eigen_prelude, pcg, PcgStart, Prelude};
 use crate::chebyshev::ChebyConstants;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::eigen::EigenEstimate;
+use crate::mixed::F32Side;
+use crate::ops::TileOperator;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
-use tea_comms::Communicator;
-use tea_mesh::Field2D;
+use tea_comms::{Communicator, WireScalar};
+use tea_mesh::{Field2, Field2D};
 
 /// CPPCG configuration.
 #[derive(Debug, Clone, Copy)]
@@ -73,6 +82,16 @@ impl PpcgOpts {
     pub fn label(&self) -> String {
         format!("PPCG-{}", self.halo_depth)
     }
+
+    /// The CPPCG fields of the generic registry parameters.
+    pub(crate) fn from_params(params: &SolverParams) -> Self {
+        PpcgOpts {
+            inner_steps: params.inner_steps,
+            halo_depth: params.halo_depth,
+            presteps: params.presteps,
+            eigen_safety: params.eigen_safety,
+        }
+    }
 }
 
 /// CPPCG as an [`IterativeSolver`]: Chebyshev polynomially
@@ -106,15 +125,7 @@ impl Ppcg {
     /// Registry factory: consumes `precon`, `inner_steps`, `halo_depth`,
     /// `presteps` and `eigen_safety`.
     pub fn from_params(params: &SolverParams) -> Self {
-        Ppcg::new(
-            params.precon,
-            PpcgOpts {
-                inner_steps: params.inner_steps,
-                halo_depth: params.halo_depth,
-                presteps: params.presteps,
-                eigen_safety: params.eigen_safety,
-            },
-        )
+        Ppcg::new(params.precon, PpcgOpts::from_params(params))
     }
 }
 
@@ -157,7 +168,9 @@ impl IterativeSolver for Ppcg {
             self.precon = Some(self.assemble_precon(ctx));
         }
         let precon = self.precon.as_ref().expect("just prepared");
-        let result = ppcg_solve_impl(ctx.tile, u, b, precon, ws, self.opts, self.ppcg, self.hint);
+        let result = ppcg_solve_impl(
+            ctx.tile, u, b, precon, ws, self.opts, self.ppcg, self.hint, None,
+        );
         self.last_est = result
             .trace
             .eigen_bounds
@@ -175,6 +188,11 @@ impl IterativeSolver for Ppcg {
     }
 }
 
+/// The CPPCG solve shared by [`Ppcg`] and [`crate::MixedPpcg`]: the
+/// `f64` CG presteps and eigenvalue estimate, then the one PCG loop of
+/// [`crate::cg`] with the `m`-step Chebyshev inner solve as its
+/// preconditioner — run in `f64` on `ws`, or in `f32` on `side` when one
+/// is given (the trace is then labelled `PPCG-n-mixed`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ppcg_solve_impl<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
@@ -185,11 +203,11 @@ pub(crate) fn ppcg_solve_impl<C: Communicator + ?Sized>(
     opts: SolveOpts,
     ppcg: PpcgOpts,
     hint: Option<EigenEstimate>,
+    mut side: Option<&mut F32Side>,
 ) -> SolveResult {
     let h = ppcg.halo_depth;
-    let m = ppcg.inner_steps;
     assert!(h >= 1, "matrix-powers depth must be at least 1");
-    assert!(m >= 1, "need at least one inner step");
+    assert!(ppcg.inner_steps >= 1, "need at least one inner step");
     assert!(
         ws.halo() >= h,
         "workspace halo {} shallower than matrix-powers depth {h}",
@@ -199,122 +217,92 @@ pub(crate) fn ppcg_solve_impl<C: Communicator + ?Sized>(
         precon.supports_extension() || h == 1,
         "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
     );
-    let bounds = &tile.op.bounds;
+    let label = match side {
+        Some(_) => format!("{}-mixed", ppcg.label()),
+        None => ppcg.label(),
+    };
+    let prelude = eigen_prelude(
+        tile,
+        u,
+        b,
+        precon,
+        ws,
+        opts,
+        ppcg.presteps,
+        ppcg.eigen_safety,
+        hint,
+        &label,
+    );
+    let (pre, est) = match prelude {
+        Prelude::Continue(pre, est) => (pre, est),
+        Prelude::Done(done) => return done,
+    };
+    let inner = InnerCheb::new(est, ppcg.inner_steps, h);
+    let start = PcgStart::Resume(pre);
+    let (result, _) = pcg(
+        tile,
+        u,
+        b,
+        ws,
+        opts,
+        start,
+        u64::MAX,
+        |ws, trace| match side.as_deref_mut() {
+            None => {
+                vector::copy(&mut ws.rr, &ws.r, &tile.op.bounds, 0, trace);
+                let fields = [&mut ws.z, &mut ws.rr, &mut ws.sd, &mut ws.tmp];
+                cheb_inner(tile, tile.op, precon, &inner, fields, trace);
+            }
+            Some(side) => side.cheb_inner(tile, &inner, ws, trace),
+        },
+    );
+    result
+}
 
-    // Phase 1: plain-CG presteps for the spectrum of M⁻¹A.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, ppcg.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
-    }
-    let mut trace = pre.trace;
-    trace.solver = ppcg.label().to_string();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est: EigenEstimate = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, ppcg.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let consts = ChebyConstants::from_estimate(est);
-    let cheb = consts.coefficients(m);
+/// The `m`-step inner Chebyshev smoother of CPPCG: shift/scale
+/// constants and recurrence coefficients from the eigenvalue estimate,
+/// and the matrix-powers halo depth.
+#[derive(Debug, Clone)]
+pub(crate) struct InnerCheb {
+    consts: ChebyConstants,
+    coeffs: Vec<(f64, f64)>,
+    depth: usize,
+}
 
-    // Phase 2: outer PCG with the m-step Chebyshev preconditioner.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    cheb_inner(tile, precon, ws, &consts, &cheb, h, &mut trace);
-    trace.inner_iterations += m as u64;
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
-    let mut iterations = pre.iterations;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
+impl InnerCheb {
+    /// `steps` Chebyshev steps for the spectrum `est` at matrix-powers
+    /// depth `depth`.
+    pub(crate) fn new(est: EigenEstimate, steps: usize, depth: usize) -> Self {
+        let consts = ChebyConstants::from_estimate(est);
+        InnerCheb {
+            coeffs: consts.coefficients(steps),
+            consts,
+            depth,
         }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        if !pw.is_finite() || pw <= 0.0 {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        let alpha = rro / pw;
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        cheb_inner(tile, precon, ws, &consts, &cheb, h, &mut trace);
-        trace.inner_iterations += m as u64;
-
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-        if !rrn.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        final_residual = rrn.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-        let beta = rrn / rro;
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        rro = rrn;
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
     }
 }
 
-/// The inner m-step Chebyshev solve of `A z ≈ r` from `z = 0`, with the
-/// matrix-powers deep-halo schedule.
+/// The inner `m`-step Chebyshev solve of `A z ≈ rr` from `z = 0` at
+/// storage precision `S`, with the matrix-powers deep-halo schedule.
 ///
-/// Uses `ws.r` as the outer residual (read only), and `ws.z` (result
-/// accumulator), `ws.rr` (inner residual) and `ws.sd` as scratch
-/// (`ws.tmp` only on the unfused block-Jacobi fallback — the fused
-/// sweeps never materialize `A·sd`, so `ws.w` is untouched here).
-fn cheb_inner<C: Communicator + ?Sized>(
+/// On entry `rr` holds the outer residual: the caller copies it in
+/// (`f64`) or demotes it in (`f32`). On exit `z` holds the smoothed
+/// correction. `sd` is the Chebyshev direction and `tmp` is used only by
+/// the unfused block-Jacobi fallback; the fused sweeps never materialise
+/// `A·sd`. Halo exchanges move native `S` payloads.
+pub(crate) fn cheb_inner<S: WireScalar, C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    consts: &ChebyConstants,
-    cheb: &[(f64, f64)],
-    h: usize,
+    op: &TileOperator<S>,
+    precon: &Preconditioner<S>,
+    inner: &InnerCheb,
+    [z, rr, sd, tmp]: [&mut Field2<S>; 4],
     trace: &mut SolveTrace,
 ) {
-    let bounds = &tile.op.bounds;
-    let m = cheb.len();
-    vector::zero(&mut ws.z, bounds, h, trace);
-    vector::copy(&mut ws.rr, &ws.r, bounds, 0, trace);
+    let bounds = &op.bounds;
+    let (h, m) = (inner.depth, inner.coeffs.len());
+    let inv_theta = S::from_f64(1.0 / inner.consts.theta);
+    vector::zero(z, bounds, h, trace);
+    trace.inner_iterations += m as u64;
 
     if h == 1 {
         // Classic depth-1 schedule: interior-only updates, one exchange
@@ -323,15 +311,15 @@ fn cheb_inner<C: Communicator + ?Sized>(
         // then the preconditioned sd recurrence in a second — except
         // block-Jacobi, whose strip solves fall back to the unfused
         // recurrence.
-        precon.apply(&ws.rr, &mut ws.tmp, bounds, 0, trace);
-        vector::scaled_copy(&mut ws.sd, &ws.tmp, 1.0 / consts.theta, bounds, 0, trace);
-        for &(a_k, b_k) in cheb {
-            tile.exchange(&mut [&mut ws.sd], 1, trace);
-            tile.op
-                .apply_cheb_fused(&ws.sd, &mut ws.z, &mut ws.rr, 0, trace);
-            if !precon.fused_recurrence(&mut ws.sd, &ws.rr, a_k, b_k, bounds, 0, trace) {
-                precon.apply(&ws.rr, &mut ws.tmp, bounds, 0, trace);
-                vector::scale_add(&mut ws.sd, a_k, b_k, &ws.tmp, bounds, 0, trace);
+        precon.apply(rr, tmp, bounds, 0, trace);
+        vector::scaled_copy(sd, tmp, inv_theta, bounds, 0, trace);
+        for &(a_k, b_k) in &inner.coeffs {
+            let (a_k, b_k) = (S::from_f64(a_k), S::from_f64(b_k));
+            tile.exchange(&mut [&mut *sd], 1, trace);
+            op.apply_cheb_fused(sd, z, rr, 0, trace);
+            if !precon.fused_recurrence(sd, rr, a_k, b_k, bounds, 0, trace) {
+                precon.apply(rr, tmp, bounds, 0, trace);
+                vector::scale_add(sd, a_k, b_k, tmp, bounds, 0, trace);
             }
         }
         return;
@@ -340,45 +328,26 @@ fn cheb_inner<C: Communicator + ?Sized>(
     // Matrix-powers schedule: one depth-h exchange buys h sweeps over
     // shrinking bounds (paper Fig. 2), each depth level fused exactly
     // like the depth-1 step (block-Jacobi never reaches this branch).
-    tile.exchange(&mut [&mut ws.rr], h, trace);
+    tile.exchange(&mut [&mut *rr], h, trace);
     let mut avail = h; // sd/rr validity extension after the exchange
-    apply_precon_ext(precon, &ws.rr, &mut ws.tmp, bounds, avail, trace);
-    vector::scaled_copy(
-        &mut ws.sd,
-        &ws.tmp,
-        1.0 / consts.theta,
-        bounds,
-        avail,
-        trace,
-    );
+    precon.apply(rr, tmp, bounds, avail, trace);
+    vector::scaled_copy(sd, tmp, inv_theta, bounds, avail, trace);
 
-    for (step, &(a_k, b_k)) in cheb.iter().enumerate() {
+    for (step, &(a_k, b_k)) in inner.coeffs.iter().enumerate() {
+        let (a_k, b_k) = (S::from_f64(a_k), S::from_f64(b_k));
         if avail == 0 {
-            tile.exchange(&mut [&mut ws.sd, &mut ws.rr], h, trace);
+            tile.exchange(&mut [&mut *sd, &mut *rr], h, trace);
             avail = h;
         }
         // never sweep wider than the remaining steps can use
         let e = (avail - 1).min(m - 1 - step);
-        tile.op
-            .apply_cheb_fused(&ws.sd, &mut ws.z, &mut ws.rr, e, trace);
-        if !precon.fused_recurrence(&mut ws.sd, &ws.rr, a_k, b_k, bounds, e, trace) {
-            apply_precon_ext(precon, &ws.rr, &mut ws.tmp, bounds, e, trace);
-            vector::scale_add(&mut ws.sd, a_k, b_k, &ws.tmp, bounds, e, trace);
+        op.apply_cheb_fused(sd, z, rr, e, trace);
+        if !precon.fused_recurrence(sd, rr, a_k, b_k, bounds, e, trace) {
+            precon.apply(rr, tmp, bounds, e, trace);
+            vector::scale_add(sd, a_k, b_k, tmp, bounds, e, trace);
         }
         avail = e;
     }
-}
-
-fn apply_precon_ext(
-    precon: &Preconditioner,
-    r: &Field2D,
-    out: &mut Field2D,
-    bounds: &crate::ops::TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    debug_assert!(precon.supports_extension() || ext == 0);
-    precon.apply(r, out, bounds, ext, trace);
 }
 
 #[cfg(test)]
@@ -437,6 +406,7 @@ mod tests {
             &mut ws,
             SolveOpts::with_eps(1e-9),
             ppcg_opts,
+            None,
             None,
         );
         (res, u, op, b)

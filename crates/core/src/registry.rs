@@ -12,7 +12,7 @@ use crate::cg::Cg;
 use crate::cg_fused::CgFused;
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
-use crate::mixed::{CgF32, MixedCg, MixedChebyshev, MixedPpcg, MixedRichardson};
+use crate::mixed::{CgF32, InnerAccel, MixedCg, MixedPpcg, MixedRefinement};
 use crate::ppcg::Ppcg;
 use crate::richardson::Richardson;
 
@@ -177,7 +177,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedChebyshev::from_params(p)),
+            |p| Box::new(MixedRefinement::from_params(InnerAccel::Chebyshev, p)),
         );
         reg.register(
             SolverMeta {
@@ -191,7 +191,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedRichardson::from_params(p)),
+            |p| Box::new(MixedRefinement::from_params(InnerAccel::Richardson, p)),
         );
         reg.register(
             SolverMeta {

@@ -24,8 +24,8 @@
 //! a stationary method.
 
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::cg::{eigen_prelude, Prelude};
+use crate::eigen::EigenEstimate;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveStatus, SolveTrace};
@@ -165,20 +165,24 @@ fn richardson_solve<C: Communicator + ?Sized>(
     let bounds = &tile.op.bounds;
 
     // Phase 1: CG presteps for the spectrum of M⁻¹A, keeping the
-    // partial solution (exactly the Chebyshev/CPPCG prelude).
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, rich.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
-    }
+    // partial solution.
+    let prelude = eigen_prelude(
+        tile,
+        u,
+        b,
+        precon,
+        ws,
+        opts,
+        rich.presteps,
+        rich.eigen_safety,
+        hint,
+        "Richardson",
+    );
+    let (pre, est) = match prelude {
+        Prelude::Continue(pre, est) => (pre, est),
+        Prelude::Done(done) => return done,
+    };
     let mut trace = pre.trace;
-    trace.solver = "Richardson".into();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, rich.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
     let omega = 2.0 / (est.min + est.max);
 
     // Phase 2: damped stationary iteration from the CG-advanced iterate.

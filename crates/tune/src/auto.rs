@@ -138,8 +138,11 @@ impl AutoSolver {
         }
         self.hint = hint;
         let mut outcome = match best {
-            Some((result, trial_u, solver)) => {
+            Some((result, trial_u, mut solver)) => {
                 *u = trial_u;
+                // the trial ran under its race cap; every later solve
+                // by the adopted winner gets the caller's full budget
+                solver.prepare(ctx, &self.opts);
                 self.winner = Some(solver);
                 result
             }

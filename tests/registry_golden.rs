@@ -18,9 +18,10 @@ use tealeaf::app::{crooked_pipe_deck, run_serial, Control, Deck};
 use tealeaf::comms::{Communicator, HaloLayout, SerialComm};
 use tealeaf::mesh::{timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tealeaf::solvers::{
-    crooked_pipe_system, Cg, CgFused, ChebyOpts, Chebyshev, DynTile, IterativeSolver, Jacobi,
-    MixedCg, Ppcg, PpcgOpts, PreconKind, Richardson, RichardsonOpts, SolveContext, SolveOpts,
-    SolveResult, SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
+    crooked_pipe_system, Cg, CgF32, CgFused, ChebyOpts, Chebyshev, DynTile, InnerAccel,
+    IterativeSolver, Jacobi, MixedCg, MixedPpcg, MixedRefinement, Ppcg, PpcgOpts, PreconKind,
+    Richardson, RichardsonOpts, SolveContext, SolveOpts, SolveResult, SolveTrace, SolverParams,
+    Tile, TileBounds, TileOperator, Workspace,
 };
 
 fn field_bits(f: &Field2D) -> Vec<u64> {
@@ -57,6 +58,30 @@ fn direct_solver(name: &str, precon: PreconKind, depth: usize) -> Box<dyn Iterat
         "cg" => Box::new(Cg::new(precon)),
         "cg_fused" => Box::new(CgFused::new(precon)),
         "mixed_cg" => Box::new(MixedCg::new(precon)),
+        "mixed_ppcg" => Box::new(MixedPpcg::new(
+            precon,
+            PpcgOpts {
+                inner_steps: 8,
+                halo_depth: depth,
+                presteps: 12,
+                ..Default::default()
+            },
+        )),
+        "mixed_chebyshev" => Box::new(MixedRefinement::new(
+            InnerAccel::Chebyshev,
+            precon,
+            12,
+            0.1,
+            10,
+        )),
+        "mixed_richardson" => Box::new(MixedRefinement::new(
+            InnerAccel::Richardson,
+            precon,
+            12,
+            0.1,
+            10,
+        )),
+        "cg_f32" => Box::new(CgF32::new(precon)),
         "chebyshev" => Box::new(Chebyshev::new(
             precon,
             ChebyOpts {
@@ -88,7 +113,18 @@ fn registry_solvers_match_direct_construction_bitwise() {
         (24usize, 0.02, PreconKind::None, 4usize),
     ];
     let opts = SolveOpts::with_eps(1e-9);
-    let names = ["jacobi", "cg", "cg_fused", "mixed_cg", "chebyshev", "ppcg"];
+    let names = [
+        "jacobi",
+        "cg",
+        "cg_fused",
+        "mixed_cg",
+        "chebyshev",
+        "ppcg",
+        "mixed_ppcg",
+        "mixed_chebyshev",
+        "mixed_richardson",
+        "cg_f32",
+    ];
 
     for &(n, dt, precon, depth) in &systems {
         let (op, b) = crooked_pipe_system(n, dt, depth);
